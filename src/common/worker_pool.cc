@@ -43,18 +43,19 @@ void WorkerPool::WorkerLoop() {
       seen = generation_;
       task = task_;
       count = count_;
+      // The job may already be retired by the time this worker wakes.
+      if (task == nullptr) continue;
+      ++active_;
     }
-    // The job may already be fully claimed (or retired) by the time
-    // this worker wakes; the cursor check below handles both.
-    if (task == nullptr) continue;
     for (int i = next_.fetch_add(1, std::memory_order_relaxed); i < count;
          i = next_.fetch_add(1, std::memory_order_relaxed)) {
       (*task)(i);
-      if (completed_.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        done_cv_.notify_all();
-      }
     }
+    // Leaving the job: until every worker that picked it up has left,
+    // the caller keeps the job (its task and its cursor) alive, so no
+    // worker can claim an index of the next job with this job's task.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--active_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -66,7 +67,6 @@ void WorkerPool::ParallelFor(int count, const std::function<void(int)>& task) {
     task_ = &task;
     count_ = count;
     next_.store(0, std::memory_order_relaxed);
-    completed_.store(0, std::memory_order_relaxed);
     ++generation_;
   }
   work_cv_.notify_all();
@@ -74,10 +74,12 @@ void WorkerPool::ParallelFor(int count, const std::function<void(int)>& task) {
   for (int i = next_.fetch_add(1, std::memory_order_relaxed); i < count;
        i = next_.fetch_add(1, std::memory_order_relaxed)) {
     task(i);
-    completed_.fetch_add(1, std::memory_order_acq_rel);
   }
+  // Every index is claimed; once the workers that picked the job up
+  // have left it, every claimed index has also finished. Retiring the
+  // task under the same lock stops later wakers from picking it up.
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return completed_.load(std::memory_order_acquire) == count; });
+  done_cv_.wait(lock, [&] { return active_ == 0; });
   task_ = nullptr;
 }
 

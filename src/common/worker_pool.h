@@ -56,8 +56,8 @@ class WorkerPool {
   int count_ = 0;                                   // guarded by mutex_
   std::uint64_t generation_ = 0;                    // guarded by mutex_
   bool stop_ = false;                               // guarded by mutex_
+  int active_ = 0;                 // workers inside the job; guarded by mutex_
   std::atomic<int> next_{0};       // next unclaimed index
-  std::atomic<int> completed_{0};  // indices finished
   std::mutex job_mutex_;           // serializes ParallelFor callers
   std::vector<std::thread> threads_;
 };

@@ -506,8 +506,11 @@ void SfpSystem::CompactAfterDeparture() {
     const auto candidates = data_plane_.PlanCompaction();
     if (candidates.empty()) return;
     const auto& best = candidates.front();
-    const auto* sfc = data_plane_.RetainedSfc(best.tenant);
-    if (sfc == nullptr) return;
+    const auto* retained = data_plane_.RetainedSfc(best.tenant);
+    if (retained == nullptr) return;
+    // A copy: the move's removal erases the retained chain, which the
+    // re-provision still reads after its batch.
+    const dataplane::Sfc sfc = *retained;
     const auto before = best.current_passes;
     // No backoff: a transiently faulted move is simply skipped — the
     // next departure probes again. kDiverged inside the batch is
@@ -516,7 +519,7 @@ void SfpSystem::CompactAfterDeparture() {
     // damage.
     AdmitOptions options;
     options.max_attempts = 1;
-    const auto result = ReprovisionTenantLocked(*sfc, options);
+    const auto result = ReprovisionTenantLocked(sfc, options);
     if (!result.ok) return;
     if (result.passes >= before) return;  // lateral move: stop compacting
     data_plane_.pipeline().RecordXtCompaction(

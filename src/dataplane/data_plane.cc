@@ -546,7 +546,7 @@ AllocationResult DataPlane::AllocateSfc(const Sfc& sfc, std::optional<int> max_p
   if (dependency_aware) pipeline_.RecordPassPacking(stats);
   allocations_[sfc.tenant] = result;
   // The tenant's rules just changed under any previously compiled plan
-  // (re-admission after departure); the per-packet epoch check would
+  // (re-admission after departure); the per-packet stamp check would
   // catch it, but invalidating here keeps the serve path fast.
   InvalidatePlan(sfc.tenant);
   SFP_LOG_DEBUG << "allocated tenant " << sfc.tenant << " over " << total_passes

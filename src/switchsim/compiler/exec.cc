@@ -30,16 +30,17 @@ ExecContext::Entry* ExecContext::Miss(std::uint16_t tenant) {
   Entry entry;
   entry.tenant = tenant;
   entry.plan = cache_.Acquire(tenant);
-  if (entry.plan != nullptr) entry.deltas.tables.resize(entry.plan->table_epochs.size());
+  if (entry.plan != nullptr) entry.deltas.tables.resize(entry.plan->tables.size());
   entries_.push_back(std::move(entry));
   mru_ = entries_.size() - 1;
   return Check(entries_.back());
 }
 
 ExecContext::Entry* ExecContext::Revalidate(Entry& entry) {
-  // A table mutated underneath the plan — either a direct AddEntry
-  // with no DataPlane hook, or another tenant's install bumping a
-  // shared table's epoch. Report it (the cache bumps its generation)
+  // A write reached this tenant's lookups underneath the plan — a
+  // direct AddEntry with no DataPlane hook, or a default-action or
+  // prefix-wildcarding change that covers every tenant. Report it (the
+  // cache bumps its generation)
   // and recompile in place, so the very next lookup serves compiled
   // again. Deltas already buffered against the stale plan are retired,
   // not dropped. If another worker holds the compile lock — or a
@@ -52,7 +53,7 @@ ExecContext::Entry* ExecContext::Revalidate(Entry& entry) {
   entry.plan = cache_.Acquire(entry.tenant);
   entry.deltas = PlanDeltas{};
   if (entry.plan == nullptr) return nullptr;
-  entry.deltas.tables.resize(entry.plan->table_epochs.size());
+  entry.deltas.tables.resize(entry.plan->tables.size());
   if (!entry.plan->Validate()) return nullptr;
   return &entry;
 }
@@ -73,8 +74,7 @@ void FlushOne(Pipeline& pipeline, const CompiledPlan& plan, const PlanDeltas& de
   for (std::size_t i = 0; i < deltas.tables.size(); ++i) {
     const PlanDeltas::TableCounts& counts = deltas.tables[i];
     if ((counts.hits | counts.misses | counts.default_hits) != 0) {
-      plan.table_epochs[i].first->AddApplyCounts(counts.hits, counts.misses,
-                                                 counts.default_hits);
+      plan.tables[i]->AddApplyCounts(counts.hits, counts.misses, counts.default_hits);
     }
   }
   pipeline.AddCompiledCounts(deltas);

@@ -16,7 +16,7 @@
 // (consecutive packets of the same tenant) is a single compare.
 //
 // Invalidation: EntryFor revalidates the cache generation (one relaxed
-// load) and the plan's table epochs per packet. A stale plan is
+// load) and the plan's mutation stamps per packet. A stale plan is
 // reported to the cache and recompiled in place; deltas buffered
 // against the stale plan are retired — kept alive and still flushed —
 // so no counted work is lost.
@@ -43,7 +43,7 @@ struct PlanDeltas {
     std::uint64_t misses = 0;
     std::uint64_t default_hits = 0;
   };
-  /// Parallel to CompiledPlan::table_epochs.
+  /// Parallel to CompiledPlan::tables.
   std::vector<TableCounts> tables;
   std::uint64_t packets = 0;
   std::uint64_t recirculations = 0;
@@ -115,7 +115,7 @@ class ExecContext {
 
   /// Cold path: tenant not in the memo yet.
   Entry* Miss(std::uint16_t tenant);
-  /// Cold path: `entry`'s table epochs went stale underneath it.
+  /// Cold path: `entry`'s mutation stamps went stale underneath it.
   Entry* Revalidate(Entry& entry);
   /// Moves every live entry's plan + deltas onto the retired list.
   void RetireAll();

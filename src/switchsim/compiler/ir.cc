@@ -9,8 +9,6 @@ namespace sfp::switchsim::compiler {
 
 namespace {
 
-constexpr std::size_t kNoField = static_cast<std::size_t>(-1);
-
 /// Matches MatchActionTable::PrefixScore: sum of LPM prefix lengths
 /// over the key's LPM fields.
 int PrefixScoreOf(const std::vector<MatchFieldSpec>& key,
@@ -26,9 +24,8 @@ int PrefixScoreOf(const std::vector<MatchFieldSpec>& key,
 struct RawTable {
   MatchActionTable* table = nullptr;
   int stage = 0;
-  MatchActionTable::CompileSnapshot snap;
-  std::size_t tenant_field = kNoField;
-  std::size_t pass_field = kNoField;
+  MatchActionTable::TenantSlice slice;
+  std::size_t pass_field = kNoKeyField;
   std::vector<std::size_t> payload_fields;
 };
 
@@ -37,8 +34,8 @@ IrAction MakeAction(const RawTable& rt, ActionId id, const ActionArgs& args,
   IrAction act;
   act.action = id;
   act.args = args;
-  act.fn = rt.snap.actions[static_cast<std::size_t>(id)];
-  act.name = rt.snap.action_names[static_cast<std::size_t>(id)];
+  act.fn = rt.slice.actions[static_cast<std::size_t>(id)];
+  act.name = rt.slice.action_names[static_cast<std::size_t>(id)];
   if (const ActionTraits* traits =
           metadata != nullptr ? metadata->Find(rt.table, id) : nullptr) {
     act.traits = *traits;
@@ -48,21 +45,20 @@ IrAction MakeAction(const RawTable& rt, ActionId id, const ActionArgs& args,
 
 /// Builds the slot for one (table, pass); `pass` empty builds the tail
 /// form (no entries: every packet misses).
-IrSlot BuildSlot(const RawTable& rt, std::uint16_t tenant,
-                 std::optional<std::uint64_t> pass, const ActionMetadata* metadata) {
+IrSlot BuildSlot(const RawTable& rt, std::optional<std::uint64_t> pass,
+                 const ActionMetadata* metadata) {
   IrSlot slot;
   slot.table = rt.table;
   slot.stage = rt.stage;
   slot.key = rt.table->key();
   slot.payload_fields = rt.payload_fields;
-  if (rt.snap.default_action) {
-    slot.default_act = MakeAction(rt, rt.snap.default_action->first,
-                                  rt.snap.default_action->second, metadata);
+  if (rt.slice.default_action) {
+    slot.default_act = MakeAction(rt, rt.slice.default_action->first,
+                                  rt.slice.default_action->second, metadata);
     slot.writes |= slot.default_act->traits.writes;
   }
   if (pass) {
-    for (const TableEntry& entry : rt.snap.entries) {
-      if (entry.matches[rt.tenant_field].value != tenant) continue;
+    for (const TableEntry& entry : rt.slice.entries) {
       if (entry.matches[rt.pass_field].value != *pass) continue;
       IrEntry ie;
       ie.matches = entry.matches;
@@ -133,34 +129,40 @@ LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
   TenantIr& ir = out.ir;
   ir.tenant = tenant;
   ir.num_stages = pipeline.num_stages();
-  ir.global_epoch = pipeline.table_mutation_epoch();
+  // Stamps first, slices after: a write that lands between the two
+  // moves a stamp past the recorded one, so at worst the plan is
+  // stale on arrival, never silently out of date.
+  ir.stamps = pipeline.mutation_stamps();
+  ir.tenant_stamp = ir.stamps->tenant(tenant);
+  ir.all_tenants_stamp = ir.stamps->all_tenants();
 
   std::vector<RawTable> raw;
   for (int k = 0; k < ir.num_stages; ++k) {
     for (const auto& table : pipeline.stage(k).tables()) {
-      RawTable rt;
-      rt.table = table.get();
-      rt.stage = k;
-      rt.snap = table->Snapshot();
-      const auto& key = table->key();
-      for (std::size_t f = 0; f < key.size(); ++f) {
-        const bool exact = key[f].kind == MatchKind::kExact;
-        if (exact && key[f].field == FieldId::kTenantId && rt.tenant_field == kNoField) {
-          rt.tenant_field = f;
-        } else if (exact && key[f].field == FieldId::kPass && rt.pass_field == kNoField) {
-          rt.pass_field = f;
-        } else {
-          rt.payload_fields.push_back(f);
-        }
-      }
-      if (rt.tenant_field == kNoField || rt.pass_field == kNoField) {
+      const std::size_t tenant_field = table->tenant_field();
+      if (tenant_field == kNoKeyField || table->pass_field() == kNoKeyField) {
         // Without the exact (tenant, pass) prefix the table cannot be
         // sliced per tenant: another tenant's entries could match this
         // tenant's packets. Unsupported construct -> interpreted path.
         out.error = "table '" + table->name() + "' lacks the exact (tenant, pass) key prefix";
         return out;
       }
-      ir.table_epochs.emplace_back(rt.table, rt.snap.epoch);
+      RawTable rt;
+      rt.table = table.get();
+      rt.stage = k;
+      rt.slice = table->SliceTenant(tenant);
+      if (rt.slice.wildcards_prefix) {
+        // Such an entry matches every tenant's packets (or every pass),
+        // so this tenant's slice would not hold all its candidates.
+        out.error = "table '" + table->name() +
+                    "' has an entry that wildcards the exact (tenant, pass) key prefix";
+        return out;
+      }
+      rt.pass_field = table->pass_field();
+      for (std::size_t f = 0; f < table->key().size(); ++f) {
+        if (f != tenant_field && f != rt.pass_field) rt.payload_fields.push_back(f);
+      }
+      ir.tables.push_back(rt.table);
       raw.push_back(std::move(rt));
     }
   }
@@ -171,8 +173,7 @@ LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
   const auto guard = static_cast<std::uint64_t>(pipeline.config().max_passes);
   std::uint64_t num_passes = 1;
   for (const RawTable& rt : raw) {
-    for (const TableEntry& entry : rt.snap.entries) {
-      if (entry.matches[rt.tenant_field].value != tenant) continue;
+    for (const TableEntry& entry : rt.slice.entries) {
       const std::uint64_t pass = entry.matches[rt.pass_field].value;
       if (pass < guard && pass < 256) num_passes = std::max(num_passes, pass + 1);
     }
@@ -181,12 +182,12 @@ LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
   for (std::uint64_t pass = 0; pass < num_passes; ++pass) {
     IrPass ir_pass;
     for (const RawTable& rt : raw) {
-      ir_pass.slots.push_back(BuildSlot(rt, tenant, pass, metadata));
+      ir_pass.slots.push_back(BuildSlot(rt, pass, metadata));
     }
     ir.passes.push_back(std::move(ir_pass));
   }
   for (const RawTable& rt : raw) {
-    ir.tail.slots.push_back(BuildSlot(rt, tenant, std::nullopt, metadata));
+    ir.tail.slots.push_back(BuildSlot(rt, std::nullopt, metadata));
   }
   out.ok = true;
   return out;

@@ -1,14 +1,18 @@
 // Per-tenant intermediate representation of the pipeline compiler.
 //
 // LiftTenant slices a tenant's rules out of the shared pipeline: every
-// physical NF table's key carries an exact (tenant, pass) prefix, and
-// exact fields cannot be wildcarded, so the entries whose prefix names
-// this tenant are the *only* entries that can ever match its packets.
-// The lift groups those entries by recirculation pass into a program of
-// IrPass -> IrSlot (one slot per (stage, table), in pipeline order) and
-// pre-sorts each slot's entries into winner order — (priority desc,
-// LPM prefix score desc, install handle asc) — so "first full match
-// wins" reproduces MatchActionTable's lookup semantics exactly.
+// physical NF table's key carries an exact (tenant, pass) prefix, so
+// the entries whose prefix names this tenant are the *only* entries
+// that can ever match its packets. The lift reads just those entries
+// (MatchActionTable::SliceTenant, O(the tenant's entries)), groups
+// them by recirculation pass into a program of IrPass -> IrSlot (one
+// slot per (stage, table), in pipeline order) and pre-sorts each
+// slot's entries into winner order — (priority desc, LPM prefix score
+// desc, install handle asc) — so "first full match wins" reproduces
+// MatchActionTable's lookup semantics exactly. A table without the
+// exact prefix, or with an entry that wildcards it (FieldMatch::Any()
+// on the tenant or pass field), cannot be sliced: the lift fails and
+// the tenant stays interpreted.
 //
 // Lowering passes (passes.h) then annotate the IR in place; plan.h
 // emits the executable CompiledPlan. See docs/COMPILER.md for the IR
@@ -115,12 +119,16 @@ struct TenantIr {
   /// pass: every slot is dead (all tables miss), matching what the
   /// interpreter does for a (tenant, pass) with no entries.
   IrPass tail;
-  /// Mutation epoch of every lifted table at lift time, in program
-  /// order. The emitted plan revalidates these per packet.
-  std::vector<std::pair<MatchActionTable*, std::uint64_t>> table_epochs;
-  /// The pipeline's table-mutation counter (Validate fast path in the
-  /// emitted plan); nullptr when the pipeline does not expose one.
-  const common::metrics::RelaxedCounter* global_epoch = nullptr;
+  /// Every lifted table, in program order (slot table_index and the
+  /// per-table counter deltas refer to it).
+  std::vector<MatchActionTable*> tables;
+  /// The pipeline's mutation stamps and the two that cover this
+  /// tenant, read before any table was sliced: a write that the slices
+  /// might have missed moves one of them. The emitted plan revalidates
+  /// them per packet.
+  const MutationStamps* stamps = nullptr;
+  std::uint64_t tenant_stamp = 0;
+  std::uint64_t all_tenants_stamp = 0;
 };
 
 /// Lift outcome. !ok => the tenant (and with the current data plane
@@ -134,7 +142,8 @@ struct LiftResult {
 /// Lifts `tenant`'s rules from the pipeline's tables. `metadata` may be
 /// null: all actions are then treated as opaque (correct, unoptimized).
 /// Unsupported constructs — a table without the exact (tenant, pass)
-/// key prefix — yield !ok.
+/// key prefix, or with an entry that wildcards it — yield !ok with an
+/// error naming the table.
 LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
                       const ActionMetadata* metadata);
 

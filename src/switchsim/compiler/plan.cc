@@ -130,13 +130,15 @@ std::shared_ptr<const CompiledPlan> EmitPlan(const TenantIr& ir, const PassStats
   auto plan = std::make_shared<CompiledPlan>();
   plan->tenant = ir.tenant;
   plan->num_stages = ir.num_stages;
-  plan->table_epochs = ir.table_epochs;
-  plan->global_epoch = ir.global_epoch;
+  plan->tables = ir.tables;
+  plan->stamps = ir.stamps;
+  plan->tenant_stamp = ir.tenant_stamp;
+  plan->all_tenants_stamp = ir.all_tenants_stamp;
   plan->stats = stats;
 
   std::unordered_map<const MatchActionTable*, std::uint32_t> table_index;
-  for (std::size_t i = 0; i < ir.table_epochs.size(); ++i) {
-    table_index.emplace(ir.table_epochs[i].first, static_cast<std::uint32_t>(i));
+  for (std::size_t i = 0; i < ir.tables.size(); ++i) {
+    table_index.emplace(ir.tables[i], static_cast<std::uint32_t>(i));
   }
 
   for (const IrPass& ir_pass : ir.passes) {

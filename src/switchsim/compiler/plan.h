@@ -7,9 +7,11 @@
 // pooled plan-wide and their masks precomputed — so the hot scan
 // touches contiguous words instead of chasing TableEntry vectors.
 //
-// A plan snapshots the mutation epoch of every table it was lifted
-// from; Validate() rechecks them, which is the per-packet backstop of
-// the invalidation contract (docs/COMPILER.md).
+// A plan records its tenant's mutation stamp and the pipeline's
+// all-tenant stamp at lift time; Validate() rechecks them, which is the
+// per-packet backstop of the invalidation contract (docs/COMPILER.md).
+// Writes to other tenants' entries move neither stamp, so they leave
+// this plan valid.
 #pragma once
 
 #include <atomic>
@@ -51,7 +53,7 @@ struct CompiledAction {
 /// One (stage, table) of a compiled pass.
 struct CompiledSlot {
   MatchActionTable* table = nullptr;
-  /// Index into CompiledPlan::table_epochs (and PlanDeltas::tables).
+  /// Index into CompiledPlan::tables (and PlanDeltas::tables).
   std::uint32_t table_index = 0;
   std::uint16_t stage = 0;
   SlotKind kind = SlotKind::kDead;
@@ -95,41 +97,40 @@ struct CompiledPlan {
     ActionArgs args;
   };
   std::vector<OpaqueAction> opaque_actions;
-  /// Every lifted table with its epoch at compile time, program order.
-  std::vector<std::pair<MatchActionTable*, std::uint64_t>> table_epochs;
-  /// The pipeline's table-mutation counter (nullptr when the pipeline
-  /// does not expose one, e.g. hand-built plans in tests).
-  const common::metrics::RelaxedCounter* global_epoch = nullptr;
-  /// Last global_epoch value at which every table_epochs entry was
-  /// verified unchanged. Serve workers advance it monotonically
-  /// (relaxed: re-verification is idempotent), so the per-packet
-  /// Validate fast path is one relaxed load instead of one per table.
-  mutable std::atomic<std::uint64_t> global_epoch_seen{0};
+  /// Every lifted table, program order.
+  std::vector<MatchActionTable*> tables;
+  /// The pipeline's mutation stamps (nullptr for hand-built plans) and
+  /// the two this plan was lifted at (see TenantIr).
+  const MutationStamps* stamps = nullptr;
+  std::uint64_t tenant_stamp = 0;
+  std::uint64_t all_tenants_stamp = 0;
+  /// Last global stamp at which both recorded stamps were verified
+  /// unchanged. Serve workers advance it monotonically (relaxed:
+  /// re-verification is idempotent), so the per-packet Validate fast
+  /// path is one relaxed load.
+  mutable std::atomic<std::uint64_t> global_seen{0};
   PassStats stats;
 
-  /// True while no lifted table has been mutated since compile time —
-  /// checked per packet as the invalidation backstop. Fast path: if
-  /// NOTHING in the pipeline mutated since the last full check, the
-  /// per-table epochs cannot have changed either. The global counter
-  /// is read before the per-table sweep, so a mutation racing the
-  /// sweep leaves `global_epoch_seen` behind the counter and the next
+  /// True while no write that could reach this tenant's lookups has
+  /// happened since compile time — checked per packet as the
+  /// invalidation backstop. Fast path: if NOTHING in the pipeline
+  /// mutated since the last full check, neither stamp moved. The
+  /// global stamp is read before the two scoped ones, so a write
+  /// racing the check leaves `global_seen` behind it and the next
   /// packet re-checks.
   bool Validate() const {
-    std::uint64_t global = 0;
-    if (global_epoch != nullptr) {
-      global = global_epoch->Value();
-      if (global == global_epoch_seen.load(std::memory_order_relaxed)) return true;
-      // Pairs with the release fence in MatchActionTable::BumpEpoch:
-      // every table-epoch bump ordered before the observed global
-      // value is visible to the sweep below.
-      std::atomic_thread_fence(std::memory_order_acquire);
+    if (stamps == nullptr) return true;
+    const std::uint64_t global = stamps->global();
+    if (global == global_seen.load(std::memory_order_relaxed)) return true;
+    // Pairs with the release fence in MutationStamps::Bump: every
+    // scoped bump ordered before the observed global value is visible
+    // to the loads below.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (stamps->tenant(tenant) != tenant_stamp ||
+        stamps->all_tenants() != all_tenants_stamp) {
+      return false;
     }
-    for (const auto& [table, epoch] : table_epochs) {
-      if (table->epoch() != epoch) return false;
-    }
-    if (global_epoch != nullptr) {
-      global_epoch_seen.store(global, std::memory_order_relaxed);
-    }
+    global_seen.store(global, std::memory_order_relaxed);
     return true;
   }
 };

@@ -7,7 +7,7 @@
 //    never blocks on compilation.
 //  - The control plane calls Warm() after admitting a tenant — a
 //    blocking compile so the first served packet already runs compiled.
-//  - DataPlane mutation hooks (and the per-packet epoch backstop in
+//  - DataPlane mutation hooks (and the per-packet stamp backstop in
 //    ExecContext::PlanFor) call Invalidate(); the generation counter
 //    bumps on every map change, which is what clears the per-worker
 //    tenant -> plan memos.

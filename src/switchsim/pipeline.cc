@@ -20,13 +20,13 @@ MatchActionTable* Stage::AddTable(std::string name, std::vector<MatchFieldSpec> 
   // would reserve a piece of memory").
   if (BlocksUsed() + 1 > blocks_per_stage_) return nullptr;
   tables_.push_back(std::make_unique<MatchActionTable>(std::move(name), std::move(key)));
-  tables_.back()->SetSharedEpoch(shared_epoch_);
+  tables_.back()->SetMutationStamps(stamps_);
   return tables_.back().get();
 }
 
-void Stage::SetSharedEpoch(common::metrics::RelaxedCounter* shared) {
-  shared_epoch_ = shared;
-  for (auto& table : tables_) table->SetSharedEpoch(shared);
+void Stage::SetMutationStamps(MutationStamps* stamps) {
+  stamps_ = stamps;
+  for (auto& table : tables_) table->SetMutationStamps(stamps);
 }
 
 bool Stage::RemoveTable(const std::string& name) {
@@ -86,7 +86,7 @@ Pipeline::Pipeline(SwitchConfig config) : config_(config) {
   stages_.reserve(static_cast<std::size_t>(config_.num_stages));
   for (int k = 0; k < config_.num_stages; ++k) {
     stages_.emplace_back(k, config_);
-    stages_.back().SetSharedEpoch(&table_mutations_);
+    stages_.back().SetMutationStamps(stamps_.get());
   }
 }
 
@@ -167,7 +167,7 @@ void Pipeline::ProcessOne(const net::Packet& packet, ProcessResult& result,
       return;
     }
     // No valid plan (fallback tenant, compile in flight, or stale
-    // epoch): interpret this packet.
+    // stamp): interpret this packet.
   }
   result.packet = packet;
   PacketMeta meta;

@@ -107,16 +107,16 @@ class Stage {
   int index() const { return index_; }
   const std::vector<std::unique_ptr<MatchActionTable>>& tables() const { return tables_; }
 
-  /// Attaches the owning pipeline's shared mutation counter; every
-  /// table created in this stage bumps it alongside its own epoch.
-  void SetSharedEpoch(common::metrics::RelaxedCounter* shared);
+  /// Attaches the owning pipeline's mutation stamps; every table
+  /// created in this stage bumps them alongside its own epoch.
+  void SetMutationStamps(MutationStamps* stamps);
 
  private:
   int index_;
   int blocks_per_stage_;
   int entries_per_block_;
   std::vector<std::unique_ptr<MatchActionTable>> tables_;
-  common::metrics::RelaxedCounter* shared_epoch_ = nullptr;
+  MutationStamps* stamps_ = nullptr;
 };
 
 /// Result of pushing one packet through the pipeline.
@@ -265,12 +265,11 @@ class Pipeline {
   /// control plane uses it to warm/invalidate plans across rule churn.
   compiler::PlanCache* plan_cache() { return plan_cache_.get(); }
 
-  /// Pipeline-wide table-mutation counter: bumped whenever any table
-  /// in any stage mutates. Compiled plans capture it for a one-load
-  /// per-packet staleness fast path (CompiledPlan::Validate).
-  const common::metrics::RelaxedCounter* table_mutation_epoch() const {
-    return &table_mutations_;
-  }
+  /// Pipeline-wide table-mutation stamps (global, all-tenant and
+  /// per-tenant), bumped by every table in every stage. Compiled plans
+  /// capture their tenant's stamps and revalidate against them
+  /// (CompiledPlan::Validate).
+  const MutationStamps* mutation_stamps() const { return stamps_.get(); }
 
   /// Applies one worker's buffered pipeline-level counter deltas
   /// (compiled serve path; called from ExecContext::Flush).
@@ -321,10 +320,10 @@ class Pipeline {
   SwitchConfig config_;
   std::vector<Stage> stages_;
   common::metrics::RelaxedCounter packets_;
-  /// Pipeline-wide table-mutation counter (bumped by every table's
-  /// BumpEpoch); compiled plans read it as a one-load staleness fast
-  /// path (CompiledPlan::Validate).
-  common::metrics::RelaxedCounter table_mutations_;
+  /// Pipeline-wide table-mutation stamps (bumped by every table's
+  /// BumpEpoch); on the heap so the tables' pointer to them survives a
+  /// move of the pipeline.
+  std::unique_ptr<MutationStamps> stamps_ = std::make_unique<MutationStamps>();
   common::metrics::RelaxedCounter drops_;
   common::metrics::RelaxedCounter drops_nf_;
   common::metrics::RelaxedCounter drops_guard_;

@@ -1,6 +1,7 @@
 #include "switchsim/table.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/check.h"
 #include "common/faultinject.h"
@@ -27,12 +28,41 @@ std::size_t MatchActionTable::ExactKeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
+MutationStamps::~MutationStamps() {
+  for (auto& page : pages_) delete page.load(std::memory_order_relaxed);
+}
+
+void MutationStamps::Bump(std::optional<std::uint16_t> tenant) {
+  if (tenant) {
+    auto& slot = pages_[*tenant >> kPageBits];
+    Page* page = slot.load(std::memory_order_acquire);
+    if (page == nullptr) {
+      // Tables of one pipeline write under different locks, so two
+      // first writes to a page can race; the loser frees its copy.
+      auto fresh = std::make_unique<Page>();
+      if (slot.compare_exchange_strong(page, fresh.get(), std::memory_order_acq_rel)) {
+        page = fresh.release();
+      }
+    }
+    page->stamps[*tenant & kPageMask].Add(1);
+  } else {
+    all_tenants_.Add(1);
+  }
+  std::atomic_thread_fence(std::memory_order_release);
+  global_.Add(1);
+}
+
 MatchActionTable::MatchActionTable(std::string name, std::vector<MatchFieldSpec> key)
     : name_(std::move(name)), key_(std::move(key)) {
   SFP_CHECK_LE(key_.size(), kMaxKeyFields);
   for (std::size_t f = 0; f < key_.size(); ++f) {
     if (key_[f].kind == MatchKind::kExact) {
       exact_fields_.push_back(f);
+      if (key_[f].field == FieldId::kTenantId && tenant_field_ == kNoKeyField) {
+        tenant_field_ = f;
+      } else if (key_[f].field == FieldId::kPass && pass_field_ == kNoKeyField) {
+        pass_field_ = f;
+      }
     } else {
       nonexact_fields_.push_back(f);
     }
@@ -51,7 +81,9 @@ void MatchActionTable::SetDefaultAction(ActionId action, ActionArgs args) {
   SFP_CHECK_GE(action, 0);
   SFP_CHECK_LT(static_cast<std::size_t>(action), actions_.size());
   default_action_ = {action, std::move(args)};
-  BumpEpoch();  // memoized miss decisions must re-resolve
+  // Memoized miss decisions must re-resolve, and every tenant's
+  // compiled plan carries this default.
+  BumpEpoch(std::nullopt);
 }
 
 bool MatchActionTable::IsPureEntry(const TableEntry& entry) const {
@@ -81,11 +113,20 @@ bool MatchActionTable::HasWildcardExact(const TableEntry& entry) const {
   return false;
 }
 
-std::vector<std::uint64_t> MatchActionTable::ExactKeyOf(const TableEntry& entry) const {
-  std::vector<std::uint64_t> key;
-  key.reserve(exact_fields_.size());
-  for (const std::size_t f : exact_fields_) key.push_back(entry.matches[f].value);
-  return key;
+std::size_t MatchActionTable::ExactKeyOf(const TableEntry& entry,
+                                         std::uint64_t* key) const {
+  std::size_t n = 0;
+  for (const std::size_t f : exact_fields_) key[n++] = entry.matches[f].value;
+  return n;
+}
+
+std::optional<std::uint16_t> MatchActionTable::WriteScope(const TableEntry& entry) const {
+  if (tenant_field_ == kNoKeyField) return std::nullopt;
+  const FieldMatch& m = entry.matches[tenant_field_];
+  // A value beyond the 16-bit tenant space matches no packet and names
+  // no tenant; such an entry is scoped to all tenants (conservative).
+  if (m.mask == 0 || m.value > 0xFFFF) return std::nullopt;
+  return static_cast<std::uint16_t>(m.value);
 }
 
 int MatchActionTable::PrefixScore(const TableEntry& entry) const {
@@ -98,6 +139,7 @@ int MatchActionTable::PrefixScore(const TableEntry& entry) const {
 
 void MatchActionTable::IndexEntryLocked(std::size_t index) {
   const TableEntry& entry = entries_[index];
+  if (const auto tenant = WriteScope(entry)) by_tenant_[*tenant].push_back(index);
   if (HasWildcardExact(entry)) {
     // A wildcarded exact field matches every probe value, so the entry
     // is unreachable from any single hash bucket; park it in the side
@@ -109,17 +151,27 @@ void MatchActionTable::IndexEntryLocked(std::size_t index) {
     wildcard_spill_.insert(pos, index);
     return;
   }
-  Bucket& bucket = index_[ExactKeyOf(entry)];
+  std::uint64_t key[kMaxKeyFields];
+  const std::size_t n = ExactKeyOf(entry, key);
+  const std::span<const std::uint64_t> probe(key, n);
+  auto it = index_.find(probe);
+  if (it == index_.end()) {
+    it = index_.emplace(std::vector<std::uint64_t>(probe.begin(), probe.end()), Bucket{}).first;
+  }
+  Bucket& bucket = it->second;
   if (IsPureEntry(entry)) {
     // The pure tier's winner is fully determined at install time:
     // pure entries share a prefix score of 0, so only (priority,
     // earliest handle) discriminate. Insertion happens in ascending
-    // handle order (both incrementally and during rebuild), so a
-    // strict priority improvement is the only way to displace the
-    // incumbent.
-    if (bucket.pure == Bucket::npos ||
-        entry.priority > entries_[bucket.pure].priority) {
+    // handle order, so a strict priority improvement is the only way
+    // to displace the incumbent.
+    if (bucket.pure == Bucket::npos) {
       bucket.pure = index;
+    } else if (entry.priority > entries_[bucket.pure].priority) {
+      bucket.shadowed.push_back(bucket.pure);
+      bucket.pure = index;
+    } else {
+      bucket.shadowed.push_back(index);
     }
     return;
   }
@@ -131,10 +183,102 @@ void MatchActionTable::IndexEntryLocked(std::size_t index) {
   bucket.spill.insert(pos, index);
 }
 
-void MatchActionTable::RebuildIndexLocked() {
-  index_.clear();
-  wildcard_spill_.clear();
-  for (std::size_t i = 0; i < entries_.size(); ++i) IndexEntryLocked(i);
+void MatchActionTable::RemoveIndicesLocked(const std::vector<std::size_t>& removed) {
+  const auto is_removed = [&removed](std::size_t i) {
+    return std::binary_search(removed.begin(), removed.end(), i);
+  };
+
+  // 1. Unlink the removed entries from their buckets and tenant lists;
+  //    note the tenants they were scoped to.
+  std::vector<decltype(index_)::iterator> touched;
+  std::vector<std::uint16_t> tenants;
+  bool all_tenants = false;
+  bool wildcard_removed = false;
+  for (const std::size_t i : removed) {
+    const TableEntry& entry = entries_[i];
+    if (const auto tenant = WriteScope(entry)) {
+      if (std::find(tenants.begin(), tenants.end(), *tenant) == tenants.end()) {
+        tenants.push_back(*tenant);
+      }
+    } else {
+      all_tenants = true;
+    }
+    if (HasWildcardExact(entry)) {
+      wildcard_removed = true;
+      continue;
+    }
+    std::uint64_t key[kMaxKeyFields];
+    const std::size_t n = ExactKeyOf(entry, key);
+    const auto it = index_.find(std::span<const std::uint64_t>(key, n));
+    SFP_CHECK(it != index_.end());
+    if (std::find(touched.begin(), touched.end(), it) == touched.end()) {
+      touched.push_back(it);
+    }
+    Bucket& bucket = it->second;
+    if (bucket.pure == i) {
+      bucket.pure = Bucket::npos;
+    } else if (IsPureEntry(entry)) {
+      std::erase(bucket.shadowed, i);
+    } else {
+      std::erase(bucket.spill, i);
+    }
+  }
+  // A bucket whose winner left promotes its best shadowed pure entry
+  // (highest priority, then earliest handle == smallest index); a
+  // bucket left empty is dropped.
+  for (const auto it : touched) {
+    Bucket& bucket = it->second;
+    if (bucket.pure == Bucket::npos && !bucket.shadowed.empty()) {
+      auto best = bucket.shadowed.begin();
+      for (auto s = best + 1; s != bucket.shadowed.end(); ++s) {
+        const int p = entries_[*s].priority;
+        const int bp = entries_[*best].priority;
+        if (p > bp || (p == bp && *s < *best)) best = s;
+      }
+      bucket.pure = *best;
+      bucket.shadowed.erase(best);
+    }
+    if (bucket.pure == Bucket::npos && bucket.spill.empty()) index_.erase(it);
+  }
+  if (wildcard_removed) std::erase_if(wildcard_spill_, is_removed);
+  for (const std::uint16_t tenant : tenants) {
+    const auto it = by_tenant_.find(tenant);
+    std::erase_if(it->second, is_removed);
+    if (it->second.empty()) by_tenant_.erase(it);
+  }
+
+  // 2. Compact entries_ in place, keeping install order.
+  std::size_t write = removed.front();
+  std::size_t next_removed = 0;
+  for (std::size_t read = removed.front(); read < entries_.size(); ++read) {
+    if (next_removed < removed.size() && removed[next_removed] == read) {
+      ++next_removed;
+      continue;
+    }
+    entries_[write++] = std::move(entries_[read]);
+  }
+  entries_.resize(write);
+
+  // 3. Shift every surviving index past the first removed one down by
+  //    the number of removed entries before it.
+  const auto shift = [&removed](std::size_t& i) {
+    if (i == Bucket::npos || i < removed.front()) return;
+    i -= static_cast<std::size_t>(std::lower_bound(removed.begin(), removed.end(), i) -
+                                  removed.begin());
+  };
+  for (auto& kv : index_) {
+    Bucket& bucket = kv.second;
+    shift(bucket.pure);
+    for (std::size_t& i : bucket.shadowed) shift(i);
+    for (std::size_t& i : bucket.spill) shift(i);
+  }
+  for (std::size_t& i : wildcard_spill_) shift(i);
+  for (auto& kv : by_tenant_) {
+    for (std::size_t& i : kv.second) shift(i);
+  }
+
+  for (const std::uint16_t tenant : tenants) BumpEpoch(tenant);
+  if (all_tenants) BumpEpoch(std::nullopt);
 }
 
 EntryHandle MatchActionTable::AddEntry(std::vector<FieldMatch> matches, ActionId action,
@@ -154,36 +298,32 @@ EntryHandle MatchActionTable::AddEntry(std::vector<FieldMatch> matches, ActionId
   entry.handle = next_handle_++;
   entries_.push_back(std::move(entry));
   IndexEntryLocked(entries_.size() - 1);
-  BumpEpoch();
+  BumpEpoch(WriteScope(entries_.back()));
   return entries_.back().handle;
 }
 
 bool MatchActionTable::RemoveEntry(EntryHandle handle) {
   std::unique_lock lock(entries_mutex_);
-  auto it = std::find_if(entries_.begin(), entries_.end(),
-                         [handle](const TableEntry& e) { return e.handle == handle; });
-  if (it == entries_.end()) return false;
-  entries_.erase(it);
-  // Removal shifts entry indices, so the index is rebuilt wholesale;
-  // tenant departure is the control-plane slow path.
-  RebuildIndexLocked();
-  BumpEpoch();
+  // entries_ stays in install order, i.e. sorted by handle.
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), handle,
+      [](const TableEntry& e, EntryHandle h) { return e.handle < h; });
+  if (it == entries_.end() || it->handle != handle) return false;
+  RemoveIndicesLocked({static_cast<std::size_t>(it - entries_.begin())});
   return true;
 }
 
 std::size_t MatchActionTable::RemoveTenantEntries(std::uint16_t tenant) {
   std::unique_lock lock(entries_mutex_);
-  const std::size_t before = entries_.size();
-  std::erase_if(entries_, [tenant](const TableEntry& e) { return e.owner_tenant == tenant; });
-  const std::size_t removed = before - entries_.size();
-  if (removed > 0) {
-    RebuildIndexLocked();
-    // No epoch bump when nothing was removed: departures of tenants
-    // with no rules in this table must not invalidate everyone's
-    // cached decisions.
-    BumpEpoch();
+  std::vector<std::size_t> removed;
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    if (entries_[i].owner_tenant == tenant) removed.push_back(i);
   }
-  return removed;
+  // No epoch bump when nothing was removed: departures of tenants
+  // with no rules in this table must not invalidate everyone's
+  // cached decisions.
+  if (!removed.empty()) RemoveIndicesLocked(removed);
+  return removed.size();
 }
 
 std::size_t MatchActionTable::num_entries() const {
@@ -368,15 +508,27 @@ bool MatchActionTable::NeedsTcam() const {
   });
 }
 
-MatchActionTable::CompileSnapshot MatchActionTable::Snapshot() const {
+MatchActionTable::TenantSlice MatchActionTable::SliceTenant(std::uint16_t tenant) const {
   std::shared_lock lock(entries_mutex_);
-  CompileSnapshot snapshot;
-  snapshot.entries = entries_;
-  snapshot.actions = actions_;
-  snapshot.action_names = action_names_;
-  snapshot.default_action = default_action_;
-  snapshot.epoch = epoch_.Value();
-  return snapshot;
+  TenantSlice slice;
+  if (const auto it = by_tenant_.find(tenant); it != by_tenant_.end()) {
+    slice.entries.reserve(it->second.size());
+    for (const std::size_t i : it->second) slice.entries.push_back(entries_[i]);
+  }
+  slice.actions = actions_;
+  slice.action_names = action_names_;
+  slice.default_action = default_action_;
+  // An entry that wildcards an exact field lives in wildcard_spill_,
+  // so that tier is the only place a wildcarded prefix can hide.
+  for (const std::size_t i : wildcard_spill_) {
+    const TableEntry& entry = entries_[i];
+    if ((tenant_field_ != kNoKeyField && entry.matches[tenant_field_].mask == 0) ||
+        (pass_field_ != kNoKeyField && entry.matches[pass_field_].mask == 0)) {
+      slice.wildcards_prefix = true;
+      break;
+    }
+  }
+  return slice;
 }
 
 void MatchActionTable::AddApplyCounts(std::uint64_t hits, std::uint64_t misses,

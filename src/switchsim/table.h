@@ -30,10 +30,14 @@
 // serialized control-plane writes. Every mutation bumps a per-table
 // epoch counter; the flow decision cache (flow_cache.h) uses it to
 // invalidate memoized decisions when the control plane changes the
-// table.
+// table. Inside a pipeline every mutation also bumps the pipeline's
+// MutationStamps, scoped to the tenant whose entries it changed, which
+// is what compiled plans revalidate against (CompiledPlan::Validate).
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -71,6 +75,57 @@ inline constexpr EntryHandle kInvalidEntryHandle = 0;
 inline constexpr std::size_t kMaxKeyFields = 16;
 
 class FlowDecisionCache;
+
+/// Key index meaning "the table has no such field".
+inline constexpr std::size_t kNoKeyField = static_cast<std::size_t>(-1);
+
+/// Pipeline-wide mutation stamps, shared by every table of one
+/// pipeline and bumped only by MatchActionTable's single bump site.
+/// SFP prefixes every physical NF key with the exact (tenant, pass)
+/// fields, so a write to one tenant's entries cannot change another
+/// tenant's lookups: such a write bumps only that tenant's stamp. A
+/// compiled plan records its tenant's stamp and the all-tenant stamp
+/// when it is lifted and is stale once either moves.
+class MutationStamps {
+ public:
+  MutationStamps() = default;
+  ~MutationStamps();
+  MutationStamps(const MutationStamps&) = delete;
+  MutationStamps& operator=(const MutationStamps&) = delete;
+
+  /// Bumped by every mutation of any table, after its scoped stamp.
+  std::uint64_t global() const { return global_.Value(); }
+  /// Bumped by mutations that can reach every tenant's lookups:
+  /// default-action changes, and entries that wildcard the exact
+  /// tenant field or sit in a table without one.
+  std::uint64_t all_tenants() const { return all_tenants_.Value(); }
+  /// Bumped by mutations of entries whose exact tenant field names
+  /// `tenant`.
+  std::uint64_t tenant(std::uint16_t tenant) const {
+    const Page* page = pages_[tenant >> kPageBits].load(std::memory_order_acquire);
+    return page != nullptr ? page->stamps[tenant & kPageMask].Value() : 0;
+  }
+
+  /// Records one mutation scoped to `tenant` (nullopt = all tenants).
+  /// The release fence orders the scoped bump before the global one,
+  /// pairing with the acquire fence in CompiledPlan::Validate: a reader
+  /// that observes the global bump also observes the scoped one.
+  void Bump(std::optional<std::uint16_t> tenant);
+
+ private:
+  /// Tenant stamps live in 256-tenant pages allocated on a tenant
+  /// range's first write, so a pipeline pays only for the tenant IDs
+  /// it has seen (the whole 16-bit space would be 512 KiB).
+  static constexpr unsigned kPageBits = 8;
+  static constexpr unsigned kPageMask = (1u << kPageBits) - 1;
+  static constexpr unsigned kNumPages = (1u << 16) >> kPageBits;
+  struct Page {
+    std::array<common::metrics::RelaxedCounter, 1u << kPageBits> stamps;
+  };
+  std::array<std::atomic<Page*>, kNumPages> pages_{};
+  common::metrics::RelaxedCounter all_tenants_;
+  common::metrics::RelaxedCounter global_;
+};
 
 /// One installed rule.
 struct TableEntry {
@@ -154,25 +209,36 @@ class MatchActionTable {
   /// Cached decisions stamped with an older epoch are invalid.
   std::uint64_t epoch() const { return epoch_.Value(); }
 
-  /// Optional pipeline-wide mutation counter, bumped alongside this
-  /// table's own epoch. Compiled plans use it as a one-load fast path
-  /// for per-packet staleness checks (see CompiledPlan::Validate);
-  /// tables created outside a pipeline simply leave it unset.
-  void SetSharedEpoch(common::metrics::RelaxedCounter* shared) { shared_epoch_ = shared; }
+  /// Attaches the owning pipeline's mutation stamps; tables created
+  /// outside a pipeline leave them unset and bump only epoch().
+  void SetMutationStamps(MutationStamps* stamps) { stamps_ = stamps; }
 
-  /// Consistent copy of everything the pipeline compiler lifts: the
-  /// entries, the registered action callbacks and names, the default
-  /// action, and the epoch the copy was taken at. Taken under the
-  /// shared entry lock, so it can run concurrently with packet serving
-  /// but never observes a half-applied mutation.
-  struct CompileSnapshot {
+  /// Key index of the exact tenant-ID field (the first exact-kind
+  /// kTenantId field), or kNoKeyField. Writes are scoped to the tenant
+  /// this field names.
+  std::size_t tenant_field() const { return tenant_field_; }
+  /// Key index of the exact pass field (first exact-kind kPass), or
+  /// kNoKeyField.
+  std::size_t pass_field() const { return pass_field_; }
+
+  /// Consistent copy of what the pipeline compiler lifts for one
+  /// tenant: the entries whose exact tenant field names it, in install
+  /// order, the registered action callbacks and names, and the default
+  /// action. Taken under the shared entry lock, so it can run
+  /// concurrently with packet serving but never observes a
+  /// half-applied mutation. Costs O(the tenant's entries): they are
+  /// read from a per-tenant entry list, not from a scan.
+  struct TenantSlice {
     std::vector<TableEntry> entries;
     std::vector<ActionFn> actions;
     std::vector<std::string> action_names;
     std::optional<std::pair<ActionId, ActionArgs>> default_action;
-    std::uint64_t epoch = 0;
+    /// Some entry wildcards the tenant or pass field (FieldMatch::Any()
+    /// on the prefix). It can match every tenant's packets, so no
+    /// tenant's rules can be sliced from this table.
+    bool wildcards_prefix = false;
   };
-  CompileSnapshot Snapshot() const;
+  TenantSlice SliceTenant(std::uint16_t tenant) const;
 
   /// Batched counter commit for the compiled serve path: adds worker-
   /// buffered hit/miss/default-hit sums in one call each. Totals stay
@@ -184,11 +250,14 @@ class MatchActionTable {
  private:
   /// Per exact-key-tuple bucket of the lookup index. Values index
   /// entries_; they are maintained incrementally on AddEntry and
-  /// rebuilt wholesale on removal (control-plane slow path).
+  /// patched in place on removal.
   struct Bucket {
     /// Winning "pure" entry (all non-exact fields wildcard): highest
     /// priority, earliest handle. npos = none.
     std::size_t pure = npos;
+    /// The bucket's other pure entries, which `pure` outranks; one of
+    /// them takes over when the winner is removed.
+    std::vector<std::size_t> shadowed;
     /// Entries with at least one concrete ternary/LPM/range field,
     /// sorted by (priority desc, handle asc).
     std::vector<std::size_t> spill;
@@ -221,11 +290,21 @@ class MatchActionTable {
   /// (mask == 0, the FieldMatch::Any() signature) and therefore lives
   /// in wildcard_spill_ instead of the value-hashed index.
   bool HasWildcardExact(const TableEntry& entry) const;
-  std::vector<std::uint64_t> ExactKeyOf(const TableEntry& entry) const;
-  /// Adds entries_[index] to the index (incremental insert).
+  /// Writes the entry's exact-field values into `key`; returns the
+  /// count (the index key of a concrete-exact entry).
+  std::size_t ExactKeyOf(const TableEntry& entry, std::uint64_t* key) const;
+  /// The tenant a write of `entry` is scoped to: its exact tenant
+  /// field's value, or nullopt (all tenants) when the field is
+  /// wildcarded, out of the 16-bit range, or absent from the key.
+  std::optional<std::uint16_t> WriteScope(const TableEntry& entry) const;
+  /// Adds entries_[index] to the index and the per-tenant lists
+  /// (incremental insert).
   void IndexEntryLocked(std::size_t index);
-  /// Rebuilds the whole index from entries_ (after removals).
-  void RebuildIndexLocked();
+  /// Removes the entries at `removed` (ascending indices): unlinks them
+  /// from their buckets and tenant lists, compacts entries_, shifts the
+  /// surviving indices down and bumps the epochs of the tenants whose
+  /// entries went. The index is never rebuilt.
+  void RemoveIndicesLocked(const std::vector<std::size_t>& removed);
   /// Sum of LPM prefix lengths of `entry` restricted to fields that
   /// match — the tie-break score of the documented semantics.
   int PrefixScore(const TableEntry& entry) const;
@@ -236,6 +315,8 @@ class MatchActionTable {
   std::vector<std::size_t> exact_fields_;
   /// Indices into key_ of the remaining (ternary/LPM/range) fields.
   std::vector<std::size_t> nonexact_fields_;
+  std::size_t tenant_field_ = kNoKeyField;
+  std::size_t pass_field_ = kNoKeyField;
   std::vector<std::string> action_names_;
   std::vector<ActionFn> actions_;
   std::optional<std::pair<ActionId, ActionArgs>> default_action_;
@@ -257,24 +338,23 @@ class MatchActionTable {
   /// carry deeply negative priority, the priority-sorted early break
   /// makes the scan O(1) whenever any real rule matched.
   std::vector<std::size_t> wildcard_spill_;
+  /// Indices of the entries whose exact tenant field names a tenant
+  /// (WriteScope), per tenant, ascending (install order): the source
+  /// of SliceTenant.
+  std::unordered_map<std::uint16_t, std::vector<std::size_t>> by_tenant_;
   EntryHandle next_handle_ = 1;
   common::metrics::RelaxedCounter hits_;
   common::metrics::RelaxedCounter misses_;
   common::metrics::RelaxedCounter default_hits_;
   common::metrics::RelaxedCounter epoch_;
-  common::metrics::RelaxedCounter* shared_epoch_ = nullptr;
+  MutationStamps* stamps_ = nullptr;
 
-  /// Single bump site: the table's own epoch plus the pipeline-wide
-  /// counter when attached. The release fence pairs with the acquire
-  /// fence in CompiledPlan::Validate: a reader that observes the
-  /// shared bump is guaranteed to also observe this table's epoch
-  /// bump, so the one-load fast path can never cache a stale verdict.
-  void BumpEpoch() {
+  /// Single bump site: the table's own epoch plus, inside a pipeline,
+  /// the stamps of the tenant the mutation is scoped to (nullopt = all
+  /// tenants).
+  void BumpEpoch(std::optional<std::uint16_t> tenant) {
     epoch_.Add(1);
-    if (shared_epoch_ != nullptr) {
-      std::atomic_thread_fence(std::memory_order_release);
-      shared_epoch_->Add(1);
-    }
+    if (stamps_ != nullptr) stamps_->Bump(tenant);
   }
 };
 

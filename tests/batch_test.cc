@@ -2,7 +2,14 @@
 // scalar Process loop for every batch size and thread count, and the
 // serve path must tolerate concurrent tenant admission/departure
 // (run under ThreadSanitizer to check the locking discipline).
+#include <pthread.h>
+
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <csignal>
+#include <functional>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -268,6 +275,103 @@ TEST(WorkerPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   pool.ParallelFor(17, [&](int) { total.fetch_add(1); });
   pool.ParallelFor(0, [&](int) { total.fetch_add(1000); });
   EXPECT_EQ(total.load(), 17);
+}
+
+/// Busy work that keeps a task running long enough for pool workers
+/// to join its job.
+void Spin(int iterations) {
+  for (int i = 0; i < iterations; ++i) asm volatile("");
+}
+
+/// SIGUSR1 handler: holds the interrupted thread for a few
+/// microseconds wherever it was, like a preemption would.
+void StallHandler(int) {
+  volatile int sink = 0;
+  for (int i = 0; i < 20000; ++i) sink = i;
+}
+
+// Two job shapes alternate on one pool, each with a task and a tally
+// that live only in their own block. A worker that still held one
+// job's task when the next job started could claim an index of the
+// next job and run it through the dead task: ASan flags the stale call
+// (stack-use-after-scope), and the next job's tally misses that index
+// or the job never completes. The window is a few instructions wide,
+// so an injector thread stalls the workers at random points with
+// signals to stand in for preemption.
+TEST(WorkerPoolTest, AlternatingJobsNeverRunAStaleTask) {
+  common::WorkerPool pool(4);
+  // Learn the pool's worker threads from inside tasks.
+  std::mutex mutex;
+  std::vector<pthread_t> workers;
+  const pthread_t caller = pthread_self();
+  for (int k = 0; k < 1000 && static_cast<int>(workers.size()) < pool.num_threads() - 1;
+       ++k) {
+    pool.ParallelFor(64, [&](int) {
+      Spin(1000);
+      const pthread_t self = pthread_self();
+      std::lock_guard<std::mutex> lock(mutex);
+      if (pthread_equal(self, caller)) return;
+      for (const pthread_t worker : workers) {
+        if (pthread_equal(worker, self)) return;
+      }
+      workers.push_back(self);
+    });
+  }
+  ASSERT_FALSE(workers.empty());
+
+  struct sigaction stall {};
+  stall.sa_handler = StallHandler;
+  sigemptyset(&stall.sa_mask);
+  stall.sa_flags = SA_RESTART;
+  struct sigaction previous {};
+  ASSERT_EQ(sigaction(SIGUSR1, &stall, &previous), 0);
+  std::atomic<bool> stop{false};
+  std::thread injector([&] {
+    for (std::size_t k = 0; !stop.load(std::memory_order_relaxed); ++k) {
+      pthread_kill(workers[k % workers.size()], SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  });
+
+  // Returns the first index the job's own task did not run exactly
+  // once, or -1. (No ASSERT before the injector is joined.)
+  const auto first_miss = [](const auto& hits) {
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      if (hits[i].load() != 1) return static_cast<int>(i);
+    }
+    return -1;
+  };
+  for (int round = 0; round < 4000; ++round) {
+    int miss = -1;
+    if (round % 2 == 0) {
+      std::array<std::atomic<int>, 16> hits{};
+      const std::function<void(int)> task = [&hits](int i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+        Spin(1000);
+      };
+      pool.ParallelFor(static_cast<int>(hits.size()), task);
+      miss = first_miss(hits);
+    } else {
+      std::array<std::atomic<int>, 24> hits{};
+      const std::function<void(int)> task = [&hits](int i) {
+        hits[static_cast<std::size_t>(i)].fetch_add(1);
+        Spin(1000);
+      };
+      pool.ParallelFor(static_cast<int>(hits.size()), task);
+      miss = first_miss(hits);
+    }
+    if (miss >= 0) {
+      ADD_FAILURE() << "round " << round << ": index " << miss << " not run exactly once";
+      break;
+    }
+  }
+
+  stop.store(true, std::memory_order_relaxed);
+  injector.join();
+  // Every pthread_kill has returned; ignoring the signal discards any
+  // still pending before the old disposition comes back.
+  signal(SIGUSR1, SIG_IGN);
+  sigaction(SIGUSR1, &previous, nullptr);
 }
 
 TEST(WorkerPoolTest, SingleThreadPoolRunsOnCaller) {

@@ -4,12 +4,15 @@
 // struct-of-arrays plan emission, and the plan cache's warm /
 // invalidate / fallback contract. The randomized compiled-vs-
 // interpreted bit-identity suite lives in compiler_equivalence_test.cc.
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dataplane/data_plane.h"
+#include "net/packet.h"
 #include "nf/classifier.h"
 #include "nf/firewall.h"
 #include "nf/load_balancer.h"
@@ -129,6 +132,34 @@ TEST(LiftTest, TableWithoutTenantPassPrefixIsUnsupported) {
   EXPECT_NE(lifted.error.find("(tenant, pass)"), std::string::npos);
 }
 
+TEST(LiftTest, TenantSliceHoldsOnlyThatTenantsEntries) {
+  auto dp = MakeDataPlane();
+  for (int k = 0; k < dp.pipeline().num_stages(); ++k) {
+    for (const auto& table : dp.pipeline().stage(k).tables()) {
+      const std::size_t tf = table->tenant_field();
+      ASSERT_NE(tf, kNoKeyField);
+      std::size_t sliced = 0;
+      for (const std::uint16_t tenant : {1, 2, 3, 9}) {
+        const auto slice = table->SliceTenant(tenant);
+        EXPECT_FALSE(slice.wildcards_prefix);
+        std::vector<EntryHandle> expected;
+        for (const TableEntry& entry : table->entries()) {
+          if (entry.matches[tf].value == tenant) expected.push_back(entry.handle);
+        }
+        std::vector<EntryHandle> got;
+        for (const TableEntry& entry : slice.entries) {
+          EXPECT_EQ(entry.matches[tf].value, tenant) << table->name();
+          got.push_back(entry.handle);
+        }
+        EXPECT_EQ(got, expected) << table->name() << " tenant " << tenant;
+        sliced += got.size();
+      }
+      // Every entry of this layout names one of the tenants above.
+      EXPECT_EQ(sliced, table->entries().size()) << table->name();
+    }
+  }
+}
+
 // ------------------------------------------- pass: dead-table elimination
 
 IrSlot MatchSlot(int stage, FieldSet reads = kNoFields, FieldSet writes = kNoFields) {
@@ -244,7 +275,7 @@ TEST(EmitPlanTest, LaysOutRulesStructOfArraysWithPrecomputedMasks) {
   ASSERT_NE(plan, nullptr) << error;
   EXPECT_EQ(plan->tenant, 1);
   ASSERT_EQ(plan->passes.size(), 1u);
-  ASSERT_FALSE(plan->table_epochs.empty());
+  ASSERT_FALSE(plan->tables.empty());
 
   const CompiledPass& pass = plan->passes[0];
   ASSERT_EQ(pass.slots.size(), 3u);
@@ -382,6 +413,91 @@ TEST(PlanCacheTest, UnsupportedTenantIsCachedAsInterpreterFallback) {
   EXPECT_EQ(cache.Acquire(7), nullptr);
   EXPECT_EQ(cache.FallbackTenants(), 1u);
   EXPECT_EQ(cache.PlansCompiled(), 0u);
+}
+
+
+/// Id of the action registered as `name` on `table`.
+ActionId ActionNamed(const MatchActionTable& table, const std::string& name) {
+  const auto& names = table.action_names();
+  const auto it = std::find(names.begin(), names.end(), name);
+  EXPECT_NE(it, names.end()) << name;
+  return static_cast<ActionId>(it - names.begin());
+}
+
+TEST(PlanCacheTest, OtherTenantsWritesKeepThePlan) {
+  auto dp = MakeDataPlane();
+  dp.EnableCompiledPlans();
+  auto* cache = dp.pipeline().plan_cache();
+  ASSERT_TRUE(cache->Warm(1));
+  const auto before = cache->Acquire(1);
+  ASSERT_NE(before, nullptr);
+  ASSERT_TRUE(before->Validate());
+  const std::uint64_t recompiles = cache->Recompiles();
+
+  // Admit a tenant onto every table tenant 1 uses, then remove another
+  // one: both write tables tenant 1's plan was lifted from.
+  Sfc t4;
+  t4.tenant = 4;
+  t4.chain = {FwConfig(), TcConfig(4), RtConfig()};
+  ASSERT_TRUE(dp.AllocateSfc(t4).ok);
+  EXPECT_TRUE(before->Validate());
+  EXPECT_EQ(cache->Acquire(1), before);
+  ASSERT_GT(dp.DeallocateSfc(3), 0u);
+  EXPECT_TRUE(before->Validate());
+  EXPECT_EQ(cache->Acquire(1), before);
+
+  // The serve path resolves the same plan object without a recompile.
+  ExecContext exec(*cache);
+  EXPECT_EQ(exec.PlanFor(1), before.get());
+  EXPECT_EQ(cache->Recompiles(), recompiles);
+}
+
+TEST(PlanCacheTest, DefaultActionChangeInvalidatesEveryTenantsPlan) {
+  auto dp = MakeDataPlane();
+  dp.EnableCompiledPlans();
+  auto* cache = dp.pipeline().plan_cache();
+  for (int k = 0; k < dp.pipeline().num_stages(); ++k) {
+    for (const auto& table : dp.pipeline().stage(k).tables()) {
+      cache->InvalidateAll();
+      std::vector<std::shared_ptr<const CompiledPlan>> plans;
+      for (const std::uint16_t tenant : {1, 2, 3}) {
+        ASSERT_TRUE(cache->Warm(tenant));
+        plans.push_back(cache->Acquire(tenant));
+        ASSERT_TRUE(plans.back()->Validate());
+      }
+      table->SetDefaultAction(ActionNamed(*table, "noop"));
+      for (const auto& plan : plans) {
+        EXPECT_FALSE(plan->Validate()) << table->name() << " tenant " << plan->tenant;
+      }
+    }
+  }
+}
+
+TEST(PlanCacheTest, PrefixWildcardEntryFallsBackToTheInterpreter) {
+  auto dp = MakeDataPlane();
+  dp.EnableCompiledPlans();
+  auto* cache = dp.pipeline().plan_cache();
+  ASSERT_TRUE(cache->Warm(1));
+
+  // A deny that wildcards the whole key, (tenant, pass) prefix
+  // included: the interpreter applies it to every tenant's packets.
+  auto* fw = dp.pipeline().stage(0).FindTable("fw_s0");
+  ASSERT_NE(fw, nullptr);
+  ASSERT_NE(fw->AddEntry(std::vector<FieldMatch>(fw->key().size(), FieldMatch::Any()),
+                         ActionNamed(*fw, "deny"), {}, /*priority=*/100, /*owner_tenant=*/0),
+            kInvalidEntryHandle);
+
+  const net::Packet packet = net::MakeTcpPacket(1, net::Ipv4Address{0x0a000002},
+                                                net::Ipv4Address{0x0a000003}, 1000, 80, 64);
+  ASSERT_TRUE(dp.pipeline().Process(packet).meta.dropped);
+  const auto compiled = dp.pipeline().ProcessBatch(std::span(&packet, 1));
+  EXPECT_TRUE(compiled[0].meta.dropped) << "compiled plan ignored the wildcard deny";
+
+  cache->Invalidate(1);
+  std::string error;
+  EXPECT_FALSE(cache->Warm(1, &error));
+  EXPECT_NE(error.find("fw_s0"), std::string::npos) << error;
+  EXPECT_EQ(cache->Acquire(1), nullptr);
 }
 
 }  // namespace

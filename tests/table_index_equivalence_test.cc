@@ -181,6 +181,76 @@ TEST_P(IndexEquivalenceTest, IndexedLookupMatchesReferenceUnderChurn) {
   EXPECT_EQ(table.default_hit_count(), expect_defaults);
 }
 
+// Removal-heavy churn: most rounds remove (single entries or whole
+// tenants), so removals hit winners with shadowed pure peers, buckets
+// that empty out, the wildcard tier and the per-tenant lists, and the
+// surviving indices are shifted many times over. After every mutation
+// the indexed lookup must still agree with the scan, and each tenant's
+// slice must hold exactly its entries, in install order.
+TEST_P(IndexEquivalenceTest, IndexedLookupMatchesReferenceUnderRemovalHeavyChurn) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 3);
+  const auto spec = RandomSpec(rng);
+  std::vector<MatchFieldSpec> key;
+  for (const auto& domain : spec) key.push_back({domain.field, domain.kind});
+  MatchActionTable table("t", key);
+  const auto noop =
+      table.RegisterAction("noop", [](net::Packet&, PacketMeta&, const ActionArgs&) {});
+
+  for (int round = 0; round < 400; ++round) {
+    const double op = rng.UniformDouble();
+    if (op < 0.45 || table.entries().empty()) {
+      // Bursts of installs with few distinct keys and priorities, so
+      // buckets collect several pure entries and spill peers.
+      const int burst = static_cast<int>(rng.UniformInt(1, 6));
+      for (int b = 0; b < burst; ++b) {
+        std::vector<FieldMatch> matches;
+        for (const auto& domain : spec) matches.push_back(RandomMatch(rng, domain));
+        ASSERT_NE(table.AddEntry(std::move(matches), noop, {},
+                                 static_cast<int>(rng.UniformInt(-1, 1)),
+                                 static_cast<std::uint16_t>(rng.UniformInt(0, 3))),
+                  kInvalidEntryHandle);
+      }
+    } else if (op < 0.75) {
+      const auto& entries = table.entries();
+      const EntryHandle handle = entries[static_cast<std::size_t>(rng.UniformInt(
+                                             0, static_cast<std::int64_t>(entries.size()) - 1))]
+                                     .handle;
+      EXPECT_TRUE(table.RemoveEntry(handle));
+      EXPECT_FALSE(table.RemoveEntry(handle));
+    } else {
+      const auto owner = static_cast<std::uint16_t>(rng.UniformInt(0, 3));
+      table.RemoveTenantEntries(owner);
+      for (const auto& entry : table.entries()) ASSERT_NE(entry.owner_tenant, owner);
+    }
+
+    for (int probe = 0; probe < 8; ++probe) {
+      auto [packet, meta] = RandomPacket(rng);
+      const TableEntry* indexed = table.Lookup(packet, meta);
+      const TableEntry* reference = table.LookupReference(packet, meta);
+      if (reference == nullptr) {
+        ASSERT_EQ(indexed, nullptr) << "round " << round;
+      } else {
+        ASSERT_NE(indexed, nullptr) << "round " << round;
+        ASSERT_EQ(indexed->handle, reference->handle) << "round " << round;
+      }
+    }
+
+    const std::size_t tf = table.tenant_field();
+    if (tf == kNoKeyField) continue;
+    for (std::uint16_t tenant = 0; tenant <= 3; ++tenant) {
+      std::vector<EntryHandle> expected;
+      for (const auto& entry : table.entries()) {
+        if (entry.matches[tf].mask != 0 && entry.matches[tf].value == tenant) {
+          expected.push_back(entry.handle);
+        }
+      }
+      std::vector<EntryHandle> got;
+      for (const auto& entry : table.SliceTenant(tenant).entries) got.push_back(entry.handle);
+      ASSERT_EQ(got, expected) << "round " << round << " tenant " << tenant;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomTables, IndexEquivalenceTest, ::testing::Range(0, 20));
 
 // Pin the catch-all shape the data plane installs on exact-key NFs
