@@ -16,6 +16,7 @@
 #include "core/sfp_system.h"
 #include "lp/simplex.h"
 #include "nf/firewall.h"
+#include "nf/nf.h"
 #include "workload/sfc_gen.h"
 #include "lp/presolve.h"
 #include "lp/rounding.h"
@@ -141,6 +142,56 @@ void BM_PipelineServeVsTenants(benchmark::State& state) {
   state.counters["entries"] = static_cast<double>(system.Stats().entries_used);
 }
 BENCHMARK(BM_PipelineServeVsTenants)->Arg(10)->Arg(100)->Arg(1000);
+
+// Compiled serve cost per packet as a function of *rules per NF*: one
+// tenant's firewall -> load balancer -> classifier -> router chain
+// (serve_steady's rule generators), 64 B frames over 4096 flows, one
+// shard. Each slot's rules are matched by the plan's bit-vector
+// classifier, so the cost grows with the interval searches' depth
+// rather than with the rule count.
+void BM_CompiledServeVsRules(benchmark::State& state) {
+  const int rules = static_cast<int>(state.range(0));
+  constexpr std::size_t kBatch = 4096;
+  core::SfpSystem system{switchsim::SwitchConfig{}};
+  system.ProvisionPhysical({{nf::NfType::kFirewall},
+                            {nf::NfType::kLoadBalancer},
+                            {nf::NfType::kClassifier},
+                            {nf::NfType::kRouter}});
+  system.EnableCompiledPlans();
+  Rng rng(11);
+  dataplane::Sfc sfc;
+  sfc.tenant = 1;
+  sfc.bandwidth_gbps = 5.0;
+  for (const auto type : {nf::NfType::kFirewall, nf::NfType::kLoadBalancer,
+                          nf::NfType::kClassifier, nf::NfType::kRouter}) {
+    nf::NfConfig config;
+    config.type = type;
+    config.rules = nf::MakeNf(type)->GenerateRules(rng, rules);
+    sfc.chain.push_back(std::move(config));
+  }
+  if (!system.AdmitTenant(sfc).admitted) {
+    state.SkipWithError("admission failed");
+    return;
+  }
+  workload::TrafficSpec spec;
+  spec.tenant = 1;
+  spec.num_flows = 4096;
+  spec.frame_bytes = 64;
+  workload::TrafficSource source(spec, rng.Next());
+  workload::PacketBatch batch;
+  source.Refill(batch, kBatch);
+  std::vector<switchsim::ProcessResult> results(kBatch);
+  switchsim::BatchOptions options;
+  options.num_threads = 1;
+  for (auto _ : state) {
+    system.ProcessBatchInto(batch.packets, results, options);
+    benchmark::DoNotOptimize(results.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
+  state.counters["rules_per_nf"] = rules;
+}
+BENCHMARK(BM_CompiledServeVsRules)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_TableLookup(benchmark::State& state) {
   const int entries = static_cast<int>(state.range(0));

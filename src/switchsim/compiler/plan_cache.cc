@@ -1,12 +1,27 @@
 #include "switchsim/compiler/plan_cache.h"
 
+#include "switchsim/pipeline.h"
+
 namespace sfp::switchsim::compiler {
+
+std::optional<std::shared_ptr<const CompiledPlan>> PlanCache::FindLocked(
+    std::uint16_t tenant) const {
+  const auto it = plans_.find(tenant);
+  if (it == plans_.end()) return std::nullopt;
+  if (it->second == nullptr) {
+    const FallbackStamps& seen = fallback_.at(tenant);
+    const MutationStamps& stamps = *pipeline_.mutation_stamps();
+    if (stamps.tenant(tenant) != seen.tenant || stamps.all_tenants() != seen.all_tenants) {
+      return std::nullopt;  // a write since the failed lift may have removed its cause
+    }
+  }
+  return it->second;
+}
 
 std::shared_ptr<const CompiledPlan> PlanCache::Acquire(std::uint16_t tenant) {
   {
     std::shared_lock lock(map_mutex_);
-    auto it = plans_.find(tenant);
-    if (it != plans_.end()) return it->second;
+    if (auto cached = FindLocked(tenant)) return *cached;
   }
   std::unique_lock compile_lock(compile_mutex_, std::try_to_lock);
   if (!compile_lock.owns_lock()) return nullptr;  // compile in flight; interpret
@@ -24,9 +39,12 @@ std::shared_ptr<const CompiledPlan> PlanCache::CompileLocked(std::uint16_t tenan
   // the compile mutex.
   {
     std::shared_lock lock(map_mutex_);
-    auto it = plans_.find(tenant);
-    if (it != plans_.end()) return it->second;
+    if (auto cached = FindLocked(tenant)) return *cached;
   }
+  // Read before the lift, as the lift reads its own: a write racing the
+  // failed lift moves a stamp past these, so the fallback is retried.
+  const MutationStamps& stamps = *pipeline_.mutation_stamps();
+  const FallbackStamps seen{stamps.tenant(tenant), stamps.all_tenants()};
   std::string local_error;
   std::shared_ptr<const CompiledPlan> plan =
       CompileTenant(pipeline_, tenant, &metadata_, &local_error);
@@ -43,7 +61,7 @@ std::shared_ptr<const CompiledPlan> PlanCache::CompileLocked(std::uint16_t tenan
       folded_tables_.fetch_add(plan->stats.folded_tables, std::memory_order_relaxed);
       fallback_.erase(tenant);
     } else {
-      fallback_.insert(tenant);
+      fallback_[tenant] = seen;
     }
     plans_[tenant] = plan;
     generation_.fetch_add(1, std::memory_order_release);

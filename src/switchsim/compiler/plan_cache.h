@@ -13,14 +13,18 @@
 //    tenant -> plan memos.
 //
 // A tenant that fails to lift (unsupported construct) is cached as a
-// nullptr entry: a permanent interpreted fallback until the next
-// invalidation, not a retry per packet.
+// nullptr entry together with its tenant stamp and the all-tenant
+// stamp read before the lift: it stays interpreted, without a retry
+// per packet, until either stamp moves. Acquire then recompiles under
+// the same try-lock, so removing the cause by a direct table write
+// brings the tenant back to compiled without an Invalidate.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -82,11 +86,22 @@ class PlanCache {
   const Pipeline& pipeline_;
   const ActionMetadata metadata_;
 
+  /// The mutation stamps read before a failed lift.
+  struct FallbackStamps {
+    std::uint64_t tenant = 0;
+    std::uint64_t all_tenants = 0;
+  };
+
+  /// The cached entry of `tenant` (nullptr = interpreted fallback), or
+  /// nullopt when it must be compiled: never compiled, invalidated, or
+  /// a fallback whose stamps have moved. Needs map_mutex_ held.
+  std::optional<std::shared_ptr<const CompiledPlan>> FindLocked(std::uint16_t tenant) const;
+
   /// Guards plans_, fallback_, ever_compiled_. Held shared on the serve
   /// path, unique only for brief insert/erase sections.
   mutable std::shared_mutex map_mutex_;
   std::unordered_map<std::uint16_t, std::shared_ptr<const CompiledPlan>> plans_;
-  std::unordered_set<std::uint16_t> fallback_;
+  std::unordered_map<std::uint16_t, FallbackStamps> fallback_;
   std::unordered_set<std::uint16_t> ever_compiled_;
 
   /// Serializes compilation; serve workers only try_lock it.
