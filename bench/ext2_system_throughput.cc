@@ -8,8 +8,9 @@
 //   interp   — SfpSystem::ProcessBatch on the interpreted pipeline
 //              (per-table Apply walk with the flow-decision cache);
 //   compiled — the same system with EnableCompiledPlans(): admitted
-//              tenants serve from CompiledPlans (SoA rule layout,
-//              fused extraction groups, buffered counter deltas).
+//              tenants serve from CompiledPlans (a bit-vector
+//              classifier per slot, fused extraction groups,
+//              buffered counter deltas).
 //
 // Both modes must produce bit-identical per-tenant telemetry (the
 // collector sums latency in fixed-point, so worker interleaving cannot
@@ -255,9 +256,9 @@ int main() {
   report.metrics().GetCounter("system.throughput.compiled_scaling_x8_pct")
       .Set(static_cast<std::uint64_t>(compiled_x8 / compiled_x1 * 100.0 + 0.5));
   bench::PrintNote(
-      "compiled mode serves every tenant from a CompiledPlan (SoA rules, fused "
-      "extraction groups, buffered counters); telemetry is verified bit-identical "
-      "to the interpreted reference at every thread count.");
+      "compiled mode serves every tenant from a CompiledPlan (a bit-vector classifier "
+      "per slot, fused extraction groups, buffered counters); telemetry is verified "
+      "bit-identical to the interpreted reference at every thread count.");
   report.AddNote("thread rows are fixed at {1,2,4,8}; the pool clamps beyond 8.");
   report.Write();
   return 0;
